@@ -8,8 +8,8 @@
 //! total decisions ever made.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use msod::{MemoryAdi, RetainedAdi};
-use permis::Pdp;
+use msod::{IndexedAdi, MemoryAdi, RetainedAdi, ShardedAdi};
+use permis::DecisionService;
 use storage::PersistentAdi;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
@@ -26,8 +26,14 @@ fn per_decision_overhead(c: &mut Criterion) {
 
     group.bench_function("memory", |b| {
         b.iter_batched(
-            || Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap(),
-            |mut pdp| {
+            || {
+                DecisionService::from_shards(
+                    policy::parse_rbac_policy(&policy_xml).unwrap(),
+                    b"k".to_vec(),
+                    ShardedAdi::from_shards(vec![IndexedAdi::new()]),
+                )
+            },
+            |pdp| {
                 for req in &requests {
                     pdp.decide(req);
                 }
@@ -47,13 +53,17 @@ fn per_decision_overhead(c: &mut Criterion) {
                 counter.set(counter.get() + 1);
                 let path = dir.join(format!("adi-{}.log", counter.get()));
                 let p = policy::parse_rbac_policy(&policy_xml).unwrap();
-                Pdp::with_adi(p, b"k".to_vec(), PersistentAdi::open(path).unwrap())
+                DecisionService::from_shards(
+                    p,
+                    b"k".to_vec(),
+                    ShardedAdi::from_shards(vec![PersistentAdi::open(path).unwrap()]),
+                )
             },
-            |mut pdp| {
+            |pdp| {
                 for req in &requests {
                     pdp.decide(req);
                 }
-                pdp.adi_backend_mut().sync().unwrap();
+                pdp.sync_adi().unwrap();
                 pdp
             },
             criterion::BatchSize::LargeInput,
@@ -79,7 +89,7 @@ fn startup_cost(c: &mut Criterion) {
             .join(format!("bench-adi-start-{}-{total_decisions}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut pdp = Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml(&policy_xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             for req in &requests {
                 pdp.decide(req);
@@ -90,12 +100,16 @@ fn startup_cost(c: &mut Criterion) {
         let jpath = dir.join("adi.journal");
         {
             let p = policy::parse_rbac_policy(&policy_xml).unwrap();
-            let mut pdp = Pdp::with_adi(p, b"k".to_vec(), PersistentAdi::open(&jpath).unwrap());
+            let pdp = DecisionService::from_shards(
+                p,
+                b"k".to_vec(),
+                ShardedAdi::from_shards(vec![PersistentAdi::open(&jpath).unwrap()]),
+            );
             for req in &requests {
                 pdp.decide(req);
             }
-            pdp.adi_backend_mut().compact().unwrap();
-            pdp.adi_backend_mut().sync().unwrap();
+            pdp.adi().with_shard(0, |journal| journal.compact()).unwrap();
+            pdp.sync_adi().unwrap();
         }
 
         group.bench_with_input(
@@ -103,7 +117,7 @@ fn startup_cost(c: &mut Criterion) {
             &total_decisions,
             |b, _| {
                 b.iter(|| {
-                    let mut pdp = Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap();
+                    let pdp = DecisionService::from_xml(&policy_xml, b"k".to_vec()).unwrap();
                     pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
                     pdp.recover(usize::MAX, 0).unwrap()
                 })

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msod::{RetainedAdi, RoleRef};
-use permis::Pdp;
+use permis::DecisionService;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 use workflow::AntiRoleEnforcer;
 
@@ -79,8 +79,8 @@ fn steady_state_throughput(c: &mut Criterion) {
 
     group.bench_function("msod_pdp", |b| {
         b.iter_batched(
-            || Pdp::from_xml(&policy, b"k".to_vec()).unwrap(),
-            |mut pdp| {
+            || DecisionService::from_xml(&policy, b"k".to_vec()).unwrap(),
+            |pdp| {
                 for req in &requests {
                     pdp.decide(req);
                 }

@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msod::RoleRef;
-use permis::{DecisionRequest, Pdp};
+use permis::{DecisionRequest, DecisionService};
 use workflow::{Assignment, BertinoPlanner, ProcessDefinition, TAX_POLICY};
 
 fn planner_with_users(n_users: usize) -> BertinoPlanner {
@@ -60,7 +60,7 @@ fn msod_decide_vs_population(c: &mut Criterion) {
     // store size, not the per-user lookup.
     let mut group = c.benchmark_group("baseline/msod_decide_vs_users");
     for n in [6usize, 20, 60, 200] {
-        let mut pdp = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
         let ctx: context::ContextInstance = "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap();
         // Populate: T1 done, plus (n-2) bystanders acting in other
         // instances.
@@ -104,19 +104,19 @@ fn full_process_comparison(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap(),
+                    DecisionService::from_xml(TAX_POLICY, b"k".to_vec()).unwrap(),
                     workflow::ProcessRun::new(
                         ProcessDefinition::tax_refund(),
                         "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap(),
                     ),
                 )
             },
-            |(mut pdp, mut run)| {
-                assert!(run.attempt(&mut pdp, "T1", "carol", 1).is_granted());
-                assert!(run.attempt(&mut pdp, "T2", "mike", 2).is_granted());
-                assert!(run.attempt(&mut pdp, "T2", "mary", 3).is_granted());
-                assert!(run.attempt(&mut pdp, "T3", "max", 4).is_granted());
-                assert!(run.attempt(&mut pdp, "T4", "chris", 5).is_granted());
+            |(pdp, mut run)| {
+                assert!(run.attempt(&pdp, "T1", "carol", 1).is_granted());
+                assert!(run.attempt(&pdp, "T2", "mike", 2).is_granted());
+                assert!(run.attempt(&pdp, "T2", "mary", 3).is_granted());
+                assert!(run.attempt(&pdp, "T3", "max", 4).is_granted());
+                assert!(run.attempt(&pdp, "T4", "chris", 5).is_granted());
                 (pdp, run)
             },
             criterion::BatchSize::SmallInput,

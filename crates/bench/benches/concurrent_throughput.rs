@@ -1,14 +1,13 @@
-//! Concurrent decision throughput: the split-plane PDP
+//! Concurrent decision throughput of the split-plane PDP
 //! ([`permis::DecisionService`], lock-free read plane + sharded retained
-//! ADI) against the old architecture's single global lock
-//! (`Mutex<Pdp>`), swept over thread count × shard count.
+//! ADI), swept over thread count × shard count.
 //!
 //! Every variant runs the identical workload: each thread issues
-//! `PER_THREAD` grant-path decisions for thread-distinct users, so the
-//! sharded store spreads the writes while the mutex baseline serialises
-//! everything — audit appends included — behind one lock. Threads are
-//! spawned inside the timed routine; the spawn cost is identical across
-//! variants and amortised over the per-thread request batch.
+//! `PER_THREAD` grant-path decisions for thread-distinct users, so more
+//! shards spread the writes while a single shard serialises them behind
+//! one lock. Threads are spawned inside the timed routine; the spawn
+//! cost is identical across variants and amortised over the per-thread
+//! request batch.
 //!
 //! On a single-core host the sweep measures lock *contention* (handoff
 //! and serialisation overhead), not parallel speedup — record the host
@@ -16,8 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use msod::RoleRef;
-use parking_lot::Mutex;
-use permis::{DecisionRequest, DecisionService, Pdp};
+use permis::{DecisionRequest, DecisionService};
 use workflow::scenarios::{workload_policy_xml, WorkloadConfig, WORK_OP, WORK_TARGET};
 
 /// Decisions issued by each thread per timed routine call.
@@ -58,28 +56,6 @@ fn concurrent_throughput(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         let requests = thread_requests(&cfg, threads);
         group.throughput(Throughput::Elements((threads * PER_THREAD) as u64));
-
-        // Baseline: the pre-split architecture — every PEP thread
-        // funnels through one Arc<Mutex<Pdp>>, decisions fully serial.
-        group.bench_with_input(BenchmarkId::new("mutex_pdp", threads), &threads, |b, _| {
-            b.iter_batched(
-                || Mutex::new(Pdp::new(parsed.clone(), b"k".to_vec())),
-                |pdp| {
-                    let pdp_ref = &pdp;
-                    std::thread::scope(|s| {
-                        for reqs in &requests {
-                            s.spawn(move || {
-                                for req in reqs {
-                                    let _ = pdp_ref.lock().decide(req);
-                                }
-                            });
-                        }
-                    });
-                    pdp
-                },
-                BatchSize::SmallInput,
-            )
-        });
 
         // Split plane: decide(&self), retained ADI partitioned across
         // `shards` user-keyed shard locks.

@@ -11,8 +11,8 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use msod::{MemoryAdi, RetainedAdi, RoleRef};
-use permis::{DecisionRequest, DecisionService, Pdp};
+use msod::{MemoryAdi, RetainedAdi, RoleRef, ShardedAdi};
+use permis::{DecisionRequest, DecisionService};
 use workflow::scenarios::{
     seed_adi, workload_policy_xml, workload_policy_xml_no_msod, WorkloadConfig,
 };
@@ -49,12 +49,16 @@ fn decide_vs_adi_size(c: &mut Criterion) {
         let mut mem = MemoryAdi::new();
         seed_adi(&mut mem, &cfg, n, 7);
         mem.add(probe_record());
-        let mut idx = msod::IndexedAdi::load(mem.snapshot());
-        let _ = &mut idx;
+        let idx = msod::IndexedAdi::load(mem.snapshot());
 
         let base = policy::parse_rbac_policy(&policy).unwrap();
-        let mut pdp_mem = Pdp::with_adi(base.clone(), b"k".to_vec(), mem);
-        let mut pdp_idx = Pdp::with_adi(base, b"k".to_vec(), idx);
+        let pdp_mem = DecisionService::from_shards(
+            base.clone(),
+            b"k".to_vec(),
+            ShardedAdi::from_shards(vec![mem]),
+        );
+        let pdp_idx =
+            DecisionService::from_shards(base, b"k".to_vec(), ShardedAdi::from_shards(vec![idx]));
         assert!(!pdp_mem.decide(&req).is_granted());
         assert!(!pdp_idx.decide(&req).is_granted());
         group.bench_with_input(BenchmarkId::new("memory", n), &n, |b, _| {
@@ -143,9 +147,16 @@ fn fresh_context_miss(c: &mut Criterion) {
     for n in [1_000usize, 10_000, 100_000] {
         let mut seeded = MemoryAdi::new();
         seed_adi(&mut seeded, &cfg, n, 7);
-        let mut pdp_mem = Pdp::with_adi(gated.clone(), b"k".to_vec(), seeded.clone());
-        let mut pdp_idx =
-            Pdp::with_adi(gated.clone(), b"k".to_vec(), msod::IndexedAdi::load(seeded.snapshot()));
+        let pdp_mem = DecisionService::from_shards(
+            gated.clone(),
+            b"k".to_vec(),
+            ShardedAdi::from_shards(vec![seeded.clone()]),
+        );
+        let pdp_idx = DecisionService::from_shards(
+            gated.clone(),
+            b"k".to_vec(),
+            ShardedAdi::from_shards(vec![msod::IndexedAdi::load(seeded.snapshot())]),
+        );
         assert!(pdp_mem.decide(&req).is_granted());
         assert_eq!(pdp_mem.adi().len(), n, "probe must not mutate");
         group.bench_with_input(BenchmarkId::new("memory", n), &n, |b, _| {
@@ -160,9 +171,9 @@ fn fresh_context_miss(c: &mut Criterion) {
 
 fn msod_overhead_vs_plain_rbac(c: &mut Criterion) {
     // The *grant-and-record* path (the common case), measured with a
-    // fresh PDP clone per iteration so recorded history cannot
-    // accumulate into the measurement. The resident ADI is kept modest
-    // so the per-iteration clone stays cheap relative to the decide.
+    // fresh service per iteration so recorded history cannot accumulate
+    // into the measurement. The resident ADI is kept modest so the
+    // per-iteration setup stays cheap relative to the decide.
     let mut group = c.benchmark_group("decide/msod_overhead");
     let cfg = cfg();
     for (label, xml) in [
@@ -182,8 +193,14 @@ fn msod_overhead_vs_plain_rbac(c: &mut Criterion) {
         );
         group.bench_function(label, |b| {
             b.iter_batched(
-                || Pdp::with_adi(parsed.clone(), b"k".to_vec(), base_adi.clone()),
-                |mut pdp| {
+                || {
+                    DecisionService::from_shards(
+                        parsed.clone(),
+                        b"k".to_vec(),
+                        ShardedAdi::from_shards(vec![base_adi.clone()]),
+                    )
+                },
+                |pdp| {
                     let out = pdp.decide(black_box(&req));
                     (pdp, out)
                 },
@@ -211,8 +228,8 @@ fn decide_throughput_workload(c: &mut Criterion) {
     group.throughput(criterion::Throughput::Elements(1_000));
     group.bench_function("mixed_stream", |b| {
         b.iter_batched(
-            || Pdp::from_xml(&policy, b"k".to_vec()).unwrap(),
-            |mut pdp| {
+            || DecisionService::from_xml(&policy, b"k".to_vec()).unwrap(),
+            |pdp| {
                 for req in &requests {
                     pdp.decide(req);
                 }
@@ -227,7 +244,8 @@ fn decide_throughput_workload(c: &mut Criterion) {
 fn deny_vs_grant_latency(c: &mut Criterion) {
     let cfg = cfg();
     let policy = workload_policy_xml(&cfg);
-    let mut pdp = Pdp::from_xml(&policy, b"k".to_vec()).unwrap();
+    let fresh = || DecisionService::from_xml(&policy, b"k".to_vec()).unwrap();
+    let pdp = fresh();
     // user0 acts with A0 in Proc=0: grant, then B0 in Proc=0: deny.
     let grant = DecisionRequest::with_roles(
         "user0",
@@ -247,12 +265,17 @@ fn deny_vs_grant_latency(c: &mut Criterion) {
         2,
     );
     let mut group = c.benchmark_group("decide/paths");
-    // The grant path records history, so clone the (small) PDP per
-    // iteration; the deny path never mutates and can run in place.
+    // The grant path records history, so rebuild the (small) service
+    // state per iteration; the deny path never mutates and can run in
+    // place.
     group.bench_function("grant_same_role", |b| {
         b.iter_batched(
-            || pdp.clone(),
-            |mut p| {
+            || {
+                let p = fresh();
+                p.decide(&grant);
+                p
+            },
+            |p| {
                 let out = p.decide(black_box(&grant));
                 (p, out)
             },

@@ -5,7 +5,7 @@
 //! taken to initialize the retained ADI from the secure audit trails").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use permis::Pdp;
+use permis::DecisionService;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
 
 /// Build a store directory containing a trail of `n_requests` decisions.
@@ -18,7 +18,7 @@ fn build_store(n_requests: usize, dir: &std::path::Path) -> String {
         terminate_percent: 2,
     };
     let policy = workload_policy_xml(&cfg);
-    let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml(&policy, b"key".to_vec()).unwrap();
     pdp.attach_store(audit::TrailStore::open(dir).unwrap());
     for (i, req) in gen_requests(&cfg, 42).iter().enumerate() {
         pdp.decide(req);
@@ -40,7 +40,7 @@ fn recovery_vs_trail_length(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+                let pdp = DecisionService::from_xml(&policy, b"key".to_vec()).unwrap();
                 pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
                 let report = pdp.recover(usize::MAX, 0).unwrap();
                 assert!(report.grants_replayed > 0);
@@ -63,7 +63,7 @@ fn recovery_window_n(c: &mut Criterion) {
         let label = if last_n == usize::MAX { "all".to_owned() } else { last_n.to_string() };
         group.bench_with_input(BenchmarkId::from_parameter(label), &last_n, |b, &last_n| {
             b.iter(|| {
-                let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+                let pdp = DecisionService::from_xml(&policy, b"key".to_vec()).unwrap();
                 pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
                 pdp.recover(last_n, 0).unwrap()
             })
@@ -78,14 +78,14 @@ fn trail_verification(c: &mut Criterion) {
     // segment's hash chain + seal.
     let cfg = WorkloadConfig { requests: 5_000, ..Default::default() };
     let policy = workload_policy_xml(&cfg);
-    let mut pdp = Pdp::from_xml(&policy, b"key".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml(&policy, b"key".to_vec()).unwrap();
     for req in gen_requests(&cfg, 1) {
         pdp.decide(&req);
     }
     let mut group = c.benchmark_group("recovery/trail_verify");
     group.sample_size(20);
     group.throughput(Throughput::Elements(5_000));
-    group.bench_function("5000_records", |b| b.iter(|| pdp.trail().verify().unwrap()));
+    group.bench_function("5000_records", |b| b.iter(|| pdp.with_trail(|t| t.verify()).unwrap()));
     group.finish();
 }
 

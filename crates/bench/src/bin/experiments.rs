@@ -7,8 +7,8 @@
 //! Run with: `cargo run -p bench --release --bin experiments`
 
 use bench::time_it;
-use msod::{MemoryAdi, RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
+use msod::{MemoryAdi, RetainedAdi, RoleRef, ShardedAdi};
+use permis::{DecisionRequest, DecisionService};
 use storage::PersistentAdi;
 use workflow::scenarios::{
     gen_requests, seed_adi, workload_policy_xml, workload_policy_xml_no_msod, WorkloadConfig,
@@ -47,7 +47,15 @@ const BANK_POLICY: &str = r#"<RBACPolicy id="bank" roleType="employee">
   </MSoDPolicySet>
 </RBACPolicy>"#;
 
-fn decide_row(pdp: &mut Pdp, user: &str, role: &str, op: &str, target: &str, ctx: &str, ts: u64) {
+fn decide_row(
+    pdp: &DecisionService,
+    user: &str,
+    role: &str,
+    op: &str,
+    target: &str,
+    ctx: &str,
+    ts: u64,
+) {
     let out = pdp.decide(&DecisionRequest::with_roles(
         user,
         vec![RoleRef::new("employee", role)],
@@ -67,12 +75,12 @@ fn e2_bank_trace() {
     println!("E2. Example 1 — bank cash processing (MMER, Branch=*, Period=!)");
     println!("|   t  | user   | role     | operation    | context                    | out   |");
     println!("|------|--------|----------|--------------|----------------------------|-------|");
-    let mut pdp = Pdp::from_xml(BANK_POLICY, b"k".to_vec()).unwrap();
-    decide_row(&mut pdp, "alice", "Teller", "handleCash", "till", "Branch=York, Period=2006", 1);
-    decide_row(&mut pdp, "alice", "Auditor", "audit", "books", "Branch=Leeds, Period=2006", 180);
-    decide_row(&mut pdp, "bob", "Auditor", "audit", "books", "Branch=York, Period=2006", 300);
-    decide_row(&mut pdp, "bob", "Auditor", "CommitAudit", "audit", "Branch=York, Period=2006", 364);
-    decide_row(&mut pdp, "alice", "Auditor", "audit", "books", "Branch=York, Period=2006", 370);
+    let pdp = DecisionService::from_xml(BANK_POLICY, b"k".to_vec()).unwrap();
+    decide_row(&pdp, "alice", "Teller", "handleCash", "till", "Branch=York, Period=2006", 1);
+    decide_row(&pdp, "alice", "Auditor", "audit", "books", "Branch=Leeds, Period=2006", 180);
+    decide_row(&pdp, "bob", "Auditor", "audit", "books", "Branch=York, Period=2006", 300);
+    decide_row(&pdp, "bob", "Auditor", "CommitAudit", "audit", "Branch=York, Period=2006", 364);
+    decide_row(&pdp, "alice", "Auditor", "audit", "books", "Branch=York, Period=2006", 370);
     println!(
         "(row 2: promoted teller denied across branch+session; row 5: free after CommitAudit)\n"
     );
@@ -83,7 +91,7 @@ fn e3_tax_trace() {
     println!("E3. Example 2 — tax refund (MMEP incl. duplicated privilege)");
     println!("| task | user  | outcome                         |");
     println!("|------|-------|---------------------------------|");
-    let mut pdp = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
     let mut run = workflow::ProcessRun::new(
         ProcessDefinition::tax_refund(),
         "TaxOffice=Kent, taxRefundProcess=1".parse().unwrap(),
@@ -99,7 +107,7 @@ fn e3_tax_trace() {
         ("T4", "chris"),
     ] {
         ts += 1;
-        let out = run.attempt(&mut pdp, task, user, ts);
+        let out = run.attempt(&pdp, task, user, ts);
         println!(
             "| {task}   | {user:<5} | {:<31} |",
             format!("{out:?}").chars().take(31).collect::<String>()
@@ -107,7 +115,7 @@ fn e3_tax_trace() {
     }
     // The same-manager-twice denial needs a direct PEP request (the
     // engine's distinct-user rule would mask it).
-    let mut pdp2 = Pdp::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
+    let pdp2 = DecisionService::from_xml(TAX_POLICY, b"k".to_vec()).unwrap();
     let ctx: context::ContextInstance = "TaxOffice=Kent, taxRefundProcess=2".parse().unwrap();
     for (user, op, t) in [
         ("carol", "prepareCheck", "http://www.myTaxOffice.com/Check"),
@@ -145,8 +153,8 @@ fn e4_scoping_table() {
     println!("|-----------------------|-------------|--------------|--------------|");
     for scope in ["Branch=*, Period=!", "Branch=!, Period=!", "Branch=York, Period=!"] {
         let xml = BANK_POLICY.replace("Branch=*, Period=!", scope);
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
-        let mut act = |role: &str, branch: &str, period: &str, ts| {
+        let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
+        let act = |role: &str, branch: &str, period: &str, ts| {
             pdp.decide(&DecisionRequest::with_roles(
                 "alice",
                 vec![RoleRef::new("employee", role)],
@@ -182,11 +190,15 @@ fn e8_decision_latency() {
     // measure. Three configurations: plain RBAC, MSoD over the paper's
     // flat store, MSoD over the context-trie IndexedAdi.
     let cfg = WorkloadConfig { users: 200, contexts: 50, role_pairs: 4, ..Default::default() };
-    fn measure<A: msod::RetainedAdi>(
-        mut pdp: Pdp<A>,
+    fn measure<A: RetainedAdi + 'static>(
+        policy: policy::PdpPolicy,
+        adi: A,
         req: &DecisionRequest,
         expect_deny: bool,
     ) -> std::time::Duration {
+        // One shard, so the measurement sees exactly the store passed in.
+        let pdp =
+            DecisionService::from_shards(policy, b"k".to_vec(), ShardedAdi::from_shards(vec![adi]));
         assert_eq!(pdp.decide(req).is_granted(), !expect_deny);
         let iters = 2_000;
         let (_, dt) = time_it(|| {
@@ -217,14 +229,9 @@ fn e8_decision_latency() {
         );
         let plain = policy::parse_rbac_policy(&workload_policy_xml_no_msod(&cfg)).unwrap();
         let with_msod = policy::parse_rbac_policy(&workload_policy_xml(&cfg)).unwrap();
-        let t_plain = measure(Pdp::with_adi(plain, b"k".to_vec(), seeded.clone()), &req, false);
-        let t_flat =
-            measure(Pdp::with_adi(with_msod.clone(), b"k".to_vec(), seeded.clone()), &req, true);
-        let t_idx = measure(
-            Pdp::with_adi(with_msod, b"k".to_vec(), msod::IndexedAdi::load(seeded.snapshot())),
-            &req,
-            true,
-        );
+        let t_plain = measure(plain, seeded.clone(), &req, false);
+        let t_flat = measure(with_msod.clone(), seeded.clone(), &req, true);
+        let t_idx = measure(with_msod, msod::IndexedAdi::load(seeded.snapshot()), &req, true);
         println!("| {n:>11} | {t_plain:>10.2?} | {t_flat:>15.2?} | {t_idx:>18.2?} |");
     }
     println!();
@@ -251,13 +258,8 @@ fn e8_decision_latency() {
         let gated =
             policy::parse_rbac_policy(&workflow::scenarios::workload_policy_xml_first_step(&cfg))
                 .unwrap();
-        let t_flat =
-            measure(Pdp::with_adi(gated.clone(), b"k".to_vec(), seeded.clone()), &req, false);
-        let t_idx = measure(
-            Pdp::with_adi(gated, b"k".to_vec(), msod::IndexedAdi::load(seeded.snapshot())),
-            &req,
-            false,
-        );
+        let t_flat = measure(gated.clone(), seeded.clone(), &req, false);
+        let t_idx = measure(gated, msod::IndexedAdi::load(seeded.snapshot()), &req, false);
         println!("| {n:>11} | {t_flat:>15.2?} | {t_idx:>18.2?} |");
     }
     println!();
@@ -280,14 +282,14 @@ fn e7_recovery_curve() {
         };
         let xml = workload_policy_xml(&cfg);
         {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             for req in gen_requests(&cfg, 42) {
                 pdp.decide(&req);
             }
             pdp.rotate_and_persist().unwrap();
         }
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
         pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
         let (report, dt) = time_it(|| pdp.recover(usize::MAX, 0).unwrap());
         println!("| {n:>16} | {dt:>13.2?} | {:>16} |", report.records_retained);
@@ -314,7 +316,7 @@ fn e9_backend_ablation() {
         let dir = std::env::temp_dir().join(format!("exp-abl-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             for req in &requests {
                 pdp.decide(req);
@@ -324,15 +326,19 @@ fn e9_backend_ablation() {
         let jpath = dir.join("adi.journal");
         {
             let p = policy::parse_rbac_policy(&xml).unwrap();
-            let mut pdp = Pdp::with_adi(p, b"k".to_vec(), PersistentAdi::open(&jpath).unwrap());
+            let pdp = DecisionService::from_shards(
+                p,
+                b"k".to_vec(),
+                ShardedAdi::from_shards(vec![PersistentAdi::open(&jpath).unwrap()]),
+            );
             for req in &requests {
                 pdp.decide(req);
             }
-            pdp.adi_backend_mut().compact().unwrap();
-            pdp.adi_backend_mut().sync().unwrap();
+            pdp.adi().with_shard(0, |journal| journal.compact()).unwrap();
+            pdp.sync_adi().unwrap();
         }
         let (_, t_replay) = time_it(|| {
-            let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+            let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
             pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
             pdp.recover(usize::MAX, 0).unwrap()
         });
@@ -398,7 +404,7 @@ fn e11_state_growth() {
         terminate_percent: 10,
     };
     let xml = workload_policy_xml(&cfg);
-    let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+    let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
     let mut anti = AntiRoleEnforcer::new();
     for i in 0..cfg.role_pairs {
         anti.add_rule(vec![

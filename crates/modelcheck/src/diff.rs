@@ -4,21 +4,20 @@
 //!
 //! Variants:
 //!
-//! 1. `monolith` — the classic [`Pdp`] over [`MemoryAdi`];
-//! 2. `service` — the lock-free [`DecisionService`] over sharded
+//! 1. `service` — the lock-free [`DecisionService`] over sharded
 //!    [`MemoryAdi`];
-//! 3. `indexed` — [`DecisionService`] over sharded [`IndexedAdi`];
-//! 4. `persistent` — [`DecisionService`] over journaled
+//! 2. `indexed` — [`DecisionService`] over sharded [`IndexedAdi`];
+//! 3. `persistent` — [`DecisionService`] over journaled
 //!    [`storage::PersistentAdi`] shards on a [`FaultVfs`] RAM disk;
-//! 5. `crash` — like `persistent`, but powers off mid-sequence
+//! 4. `crash` — like `persistent`, but powers off mid-sequence
 //!    ([`FaultVfs::power_cut`]) after a sync and reopens through the
 //!    recovery path before continuing; on alternating power cuts the
 //!    surviving journals are first rewritten with string-era (v1)
 //!    frames, so every sweep also covers crash-reopen of a journal
 //!    written before the symbol-frame format existed;
-//! 6. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
+//! 5. `symbolized` — [`DecisionService`] over sharded [`SymAdi`],
 //!    the interned fast path ([`permis::DecisionService::new_symbolized`]);
-//! 7. `wire` — a symbolized service behind a real loopback
+//! 6. `wire` — a symbolized service behind a real loopback
 //!    [`net::NetServer`], driven through [`net::NetClient`]: every
 //!    decide crosses the binary wire protocol, purges go through the
 //!    §4.3 management port as authorized wire requests, and snapshots
@@ -41,7 +40,7 @@ use std::sync::Arc;
 use context::ContextName;
 use msod::{AdiRecord, IndexedAdi, MemoryAdi, RetainedAdi, SymAdi};
 use net::{NetClient, NetConfig, NetServer, WireVerdict};
-use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason, Pdp};
+use permis::{DecisionOutcome, DecisionRequest, DecisionService, DenyReason};
 use policy::{PdpPolicy, TargetRule};
 use storage::{AdiOp, FaultVfs, OpLog, PersistentAdi, Vfs};
 
@@ -209,7 +208,6 @@ fn downgrade_shards_to_v1(vfs: &FaultVfs, shards: usize) {
 
 /// One engine variant under test.
 enum Variant {
-    Monolith(Box<Pdp<MemoryAdi>>),
     Service(DecisionService<MemoryAdi>),
     Indexed(DecisionService<IndexedAdi>),
     Persistent { svc: DecisionService<PersistentAdi>, _vfs: FaultVfs },
@@ -224,7 +222,6 @@ enum Variant {
 impl Variant {
     fn name(&self) -> &'static str {
         match self {
-            Variant::Monolith(_) => "monolith",
             Variant::Service(_) => "service",
             Variant::Indexed(_) => "indexed",
             Variant::Persistent { .. } => "persistent",
@@ -236,7 +233,6 @@ impl Variant {
 
     fn decide(&mut self, req: &DecisionRequest) -> DecisionOutcome {
         match self {
-            Variant::Monolith(pdp) => pdp.decide(req),
             Variant::Service(svc) => svc.decide(req),
             Variant::Indexed(svc) => svc.decide(req),
             Variant::Persistent { svc, .. } => svc.decide(req),
@@ -282,7 +278,6 @@ impl Variant {
         let bound = context::BoundContext::from_name(scope.clone())
             .expect("management scope carries no '!'");
         match self {
-            Variant::Monolith(pdp) => pdp.adi_backend_mut().purge(&bound),
             Variant::Service(svc) => svc.adi().purge(&bound),
             Variant::Indexed(svc) => svc.adi().purge(&bound),
             Variant::Persistent { svc, .. } => svc.adi().purge(&bound),
@@ -297,7 +292,6 @@ impl Variant {
 
     fn purge_older_than(&mut self, cutoff: u64) -> usize {
         match self {
-            Variant::Monolith(pdp) => pdp.adi_backend_mut().purge_older_than(cutoff),
             Variant::Service(svc) => svc.adi().purge_older_than(cutoff),
             Variant::Indexed(svc) => svc.adi().purge_older_than(cutoff),
             Variant::Persistent { svc, .. } => svc.adi().purge_older_than(cutoff),
@@ -321,12 +315,6 @@ impl Variant {
             })
         }
         match self {
-            Variant::Monolith(pdp) => {
-                let adi = pdp.adi_backend_mut();
-                let n = adi.len();
-                adi.clear();
-                n
-            }
             Variant::Service(svc) => clear_sharded(svc),
             Variant::Indexed(svc) => clear_sharded(svc),
             Variant::Persistent { svc, .. } => clear_sharded(svc),
@@ -341,7 +329,6 @@ impl Variant {
 
     fn snapshot(&mut self) -> Vec<AdiRecord> {
         let mut snap = match self {
-            Variant::Monolith(pdp) => pdp.adi().snapshot(),
             Variant::Service(svc) => svc.adi().snapshot(),
             Variant::Indexed(svc) => svc.adi().snapshot(),
             Variant::Persistent { svc, .. } => svc.adi().snapshot(),
@@ -460,11 +447,6 @@ pub fn run_workload_with(w: &Workload, mutation: Mutation) -> Option<Divergence>
     let persist_vfs = FaultVfs::default();
     let crash_vfs = FaultVfs::default();
     let mut variants = vec![
-        Variant::Monolith(Box::new(Pdp::with_adi(
-            policy.clone(),
-            TRAIL_KEY.to_vec(),
-            MemoryAdi::new(),
-        ))),
         Variant::Service(DecisionService::with_shard_count(
             policy.clone(),
             TRAIL_KEY.to_vec(),

@@ -10,9 +10,9 @@
 //! * [`gen`] — seeded generation of random-but-valid policy sets and
 //!   operation sequences ([`generate`]).
 //! * [`diff`] — the differential driver: replays one workload through
-//!   every engine variant (monolithic `Pdp`, shared-read
-//!   `DecisionService`, the indexed backend, the persistent backend,
-//!   and a mid-sequence crash-reopen variant) and checks each verdict
+//!   every engine variant (`DecisionService` over the memory, indexed,
+//!   persistent and symbolized backends, a mid-sequence crash-reopen
+//!   variant, and the wire path) and checks each verdict
 //!   and the retained ADI state against the oracle ([`run_workload`]).
 //! * [`shrink`]/[`script`] — when a divergence is found, delta-debug it
 //!   to a locally-minimal workload and print it as a ready-to-paste

@@ -15,6 +15,11 @@
 //! * **open** — requests are paced on a fixed schedule regardless of
 //!   completions; the report counts how many fell behind schedule
 //!   (lateness is the overload signal a closed loop hides).
+//!
+//! Latency is what a caller waits: in the closed loop every request of
+//! a batch is charged the batch's whole round trip, and in the open
+//! loop each request is timed from its *scheduled* send, so queueing
+//! behind a slow predecessor counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -271,10 +276,10 @@ pub fn run_closed(addr: &str, cfg: &LoadgenConfig) -> Result<LoopReport, crate::
                 } else {
                     client.decide_batch(&reqs)?
                 };
+                // Every request in the frame waited for the whole round
+                // trip, so each is charged all of it.
                 let us = (t0.elapsed().as_micros() as u64).max(1);
-                for _ in 0..n {
-                    lat.push(us / n as u64);
-                }
+                lat.resize(lat.len() + n, us);
                 for v in &verdicts {
                     match v {
                         crate::WireVerdict::NotApplicable | crate::WireVerdict::Grant { .. } => {
@@ -323,9 +328,10 @@ pub fn run_open(addr: &str, cfg: &LoadgenConfig) -> Result<LoopReport, crate::Ne
             late += 1;
         }
         let req = shape.next_request(&mut rng, &clock);
-        let t0 = Instant::now();
         let v = client.decide(&req)?;
-        lat.push((t0.elapsed().as_micros() as u64).max(1));
+        // Timed from the scheduled send, not the actual one: a request
+        // held back by a slow predecessor carries that wait too.
+        lat.push(((started + due).elapsed().as_micros() as u64).max(1));
         match v {
             crate::WireVerdict::NotApplicable | crate::WireVerdict::Grant { .. } => grants += 1,
             _ => denies += 1,

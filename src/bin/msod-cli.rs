@@ -47,7 +47,7 @@ use std::process::ExitCode;
 use msod_rbac::msod::RoleRef;
 use msod_rbac::net;
 use msod_rbac::obs::validate_metrics_text;
-use msod_rbac::permis::{DecisionRequest, DecisionService, Pdp};
+use msod_rbac::permis::{DecisionRequest, DecisionService};
 use msod_rbac::policy;
 
 fn main() -> ExitCode {
@@ -192,12 +192,10 @@ fn build_request(line: &ScriptLine, role_type: &str, no: usize) -> Result<Decisi
 }
 
 fn cmd_decide(policy_path: &str, script_path: &str) -> Result<(), String> {
-    let xml =
-        std::fs::read_to_string(policy_path).map_err(|e| format!("reading {policy_path}: {e}"))?;
     let script =
         std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
-    let mut pdp = Pdp::from_xml(&xml, b"msod-cli-trail-key".to_vec()).map_err(|e| e.to_string())?;
-    let role_type = pdp.policy().role_type.clone();
+    let svc = load_symbolized(policy_path)?;
+    let role_type = svc.core().policy().role_type.clone();
 
     println!(
         "| {:>4} | {:<12} | {:<22} | {:<14} | {:<28} | out   |",
@@ -211,7 +209,7 @@ fn cmd_decide(policy_path: &str, script_path: &str) -> Result<(), String> {
             continue;
         };
         let req = build_request(&line, &role_type, no + 1)?;
-        let out = pdp.decide(&req);
+        let out = svc.decide(&req);
         let verdict = if out.is_granted() {
             grants += 1;
             "GRANT".to_owned()
@@ -228,12 +226,9 @@ fn cmd_decide(policy_path: &str, script_path: &str) -> Result<(), String> {
             line.context,
         );
     }
-    println!("\n{grants} granted, {denies} denied; retained ADI: {} record(s)", {
-        use msod_rbac::msod::RetainedAdi;
-        pdp.adi().len()
-    });
-    pdp.trail().verify().map_err(|e| e.to_string())?;
-    println!("audit trail: {} record(s), verified", pdp.trail().len());
+    println!("\n{grants} granted, {denies} denied; retained ADI: {} record(s)", svc.adi().len());
+    let records = svc.with_trail(|t| t.verify().map(|()| t.len())).map_err(|e| e.to_string())?;
+    println!("audit trail: {records} record(s), verified");
     Ok(())
 }
 

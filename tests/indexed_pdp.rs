@@ -3,9 +3,16 @@
 //! `msod::IndexedAdi` must produce identical decision streams, identical
 //! snapshots, and identical recovery behaviour.
 
-use msod::{IndexedAdi, RetainedAdi};
-use permis::Pdp;
+use msod::{IndexedAdi, MemoryAdi, RetainedAdi, ShardedAdi};
+use permis::DecisionService;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
+
+/// A service over a single shard of `adi`, so each test compares the
+/// two store implementations themselves.
+fn service<A: RetainedAdi + 'static>(xml: &str, adi: A) -> DecisionService<A> {
+    let policy = policy::parse_rbac_policy(xml).unwrap();
+    DecisionService::from_shards(policy, b"k".to_vec(), ShardedAdi::from_shards(vec![adi]))
+}
 
 #[test]
 fn indexed_pdp_matches_memory_pdp_on_workload() {
@@ -17,10 +24,8 @@ fn indexed_pdp_matches_memory_pdp_on_workload() {
         terminate_percent: 6,
     };
     let xml = workload_policy_xml(&cfg);
-    let parsed = policy::parse_rbac_policy(&xml).unwrap();
-
-    let mut mem_pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
-    let mut idx_pdp = Pdp::with_adi(parsed, b"k".to_vec(), IndexedAdi::new());
+    let mem_pdp = service(&xml, MemoryAdi::new());
+    let idx_pdp = service(&xml, IndexedAdi::new());
 
     for (i, req) in gen_requests(&cfg, 31).iter().enumerate() {
         let a = mem_pdp.decide(req);
@@ -44,7 +49,7 @@ fn indexed_pdp_recovers_identically() {
     let dir = std::env::temp_dir().join(format!("msod-idx-rec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+        let pdp = DecisionService::from_xml(&xml, b"k".to_vec()).unwrap();
         pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
         for req in gen_requests(&cfg, 8) {
             pdp.decide(&req);
@@ -52,12 +57,11 @@ fn indexed_pdp_recovers_identically() {
         pdp.rotate_and_persist().unwrap();
     }
     // Recover into BOTH store kinds; snapshots must agree.
-    let mut mem_pdp = Pdp::from_xml(&xml, b"k".to_vec()).unwrap();
+    let mem_pdp = service(&xml, MemoryAdi::new());
     mem_pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
     mem_pdp.recover(usize::MAX, 0).unwrap();
 
-    let parsed = policy::parse_rbac_policy(&xml).unwrap();
-    let mut idx_pdp = Pdp::with_adi(parsed, b"k".to_vec(), IndexedAdi::new());
+    let idx_pdp = service(&xml, IndexedAdi::new());
     idx_pdp.attach_store(audit::TrailStore::open(&dir).unwrap());
     idx_pdp.recover(usize::MAX, 0).unwrap();
 
@@ -86,8 +90,7 @@ fn indexed_pdp_management_port() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let parsed = policy::parse_rbac_policy(xml).unwrap();
-    let mut pdp = Pdp::with_adi(parsed, b"k".to_vec(), IndexedAdi::new());
+    let pdp = service(xml, IndexedAdi::new());
     for i in 0..5 {
         let req = permis::DecisionRequest::with_roles(
             format!("u{i}"),

@@ -288,6 +288,24 @@ fn symbolized_service_exports_interner_gauges() {
     );
 }
 
+/// The flight recorder identifies sampled decides by user symbol, but
+/// only by *looking up* the subject: a subject denied at the front end
+/// never passed the CVS, so it must not grow the append-only table.
+#[test]
+fn front_end_denies_do_not_grow_the_symbol_table() {
+    let svc = DecisionService::from_xml_symbolized(POLICY, b"obs-test-key".to_vec()).unwrap();
+    let before = svc.symbol_table().counts().users;
+    for i in 0..800u64 {
+        let req = DecisionRequest {
+            credentials: Credentials::Push(Vec::new()),
+            ..request(&format!("stranger{i}"), "Teller", "handleCash", "till", "Branch=York", i)
+        };
+        let outcome = svc.decide(&req);
+        assert!(matches!(outcome.deny_reason(), Some(DenyReason::NoValidRoles { .. })));
+    }
+    assert_eq!(svc.symbol_table().counts().users, before);
+}
+
 /// Explanation capture: `decide_explained` always explains, the opt-in
 /// flag routes normal `decide` calls into the retained ring, and the
 /// `inspect` management port is authorized like the other ports.

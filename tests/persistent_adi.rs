@@ -2,10 +2,17 @@
 //! persistent retained ADI: identical decisions to the in-memory
 //! backend, and restart *without* audit-trail replay.
 
-use msod::{RetainedAdi, RoleRef};
-use permis::{DecisionRequest, Pdp};
+use msod::{RoleRef, ShardedAdi};
+use permis::{DecisionRequest, DecisionService};
 use storage::PersistentAdi;
 use workflow::scenarios::{gen_requests, workload_policy_xml, WorkloadConfig};
+
+/// A service whose retained ADI is the single journal at `path`.
+fn journaled(policy_xml: &str, path: &std::path::Path) -> DecisionService<PersistentAdi> {
+    let policy = policy::parse_rbac_policy(policy_xml).unwrap();
+    let journal = PersistentAdi::open(path).unwrap();
+    DecisionService::from_shards(policy, b"k".to_vec(), ShardedAdi::from_shards(vec![journal]))
+}
 
 fn temp_file(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("msod-padi-{}-{tag}.log", std::process::id()))
@@ -23,10 +30,9 @@ fn persistent_backend_matches_memory_backend() {
         terminate_percent: 5,
     };
     let policy_xml = workload_policy_xml(&cfg);
-    let policy = policy::parse_rbac_policy(&policy_xml).unwrap();
 
-    let mut mem_pdp = Pdp::from_xml(&policy_xml, b"k".to_vec()).unwrap();
-    let mut per_pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
+    let mem_pdp = DecisionService::from_xml(&policy_xml, b"k".to_vec()).unwrap();
+    let per_pdp = journaled(&policy_xml, &path);
 
     for (i, req) in gen_requests(&cfg, 3).iter().enumerate() {
         assert_eq!(
@@ -58,7 +64,7 @@ fn restart_without_trail_replay() {
     </MSoDPolicy>
   </MSoDPolicySet>
 </RBACPolicy>"#;
-    let act = |pdp: &mut Pdp<PersistentAdi>, user: &str, role: &str, ts: u64| {
+    let act = |pdp: &DecisionService<PersistentAdi>, user: &str, role: &str, ts: u64| {
         pdp.decide(&DecisionRequest::with_roles(
             user,
             vec![RoleRef::new("employee", role)],
@@ -70,17 +76,15 @@ fn restart_without_trail_replay() {
         .is_granted()
     };
     {
-        let policy = policy::parse_rbac_policy(policy_xml).unwrap();
-        let mut pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
-        assert!(act(&mut pdp, "alice", "A", 1));
-        pdp.adi_backend_mut().sync().unwrap();
+        let pdp = journaled(policy_xml, &path);
+        assert!(act(&pdp, "alice", "A", 1));
+        pdp.sync_adi().unwrap();
     }
     // Fresh PDP process: the retained ADI comes straight off disk — no
     // TrailStore attached, no recover() call, no trail replay.
-    let policy = policy::parse_rbac_policy(policy_xml).unwrap();
-    let mut pdp = Pdp::with_adi(policy, b"k".to_vec(), PersistentAdi::open(&path).unwrap());
+    let pdp = journaled(policy_xml, &path);
     assert_eq!(pdp.adi().len(), 1);
-    assert!(!act(&mut pdp, "alice", "B", 100), "history survived the restart");
-    assert!(act(&mut pdp, "bob", "B", 101));
+    assert!(!act(&pdp, "alice", "B", 100), "history survived the restart");
+    assert!(act(&pdp, "bob", "B", 101));
     let _ = std::fs::remove_file(&path);
 }
